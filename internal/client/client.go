@@ -171,20 +171,19 @@ func (c *Client) Query(sql string, params map[string]value.Value) (*Result, erro
 	return c.Execute(q, params)
 }
 
-// parse resolves SQL through the parse cache.
+// parse resolves SQL through the parse cache; concurrent misses on one
+// string share the leader's parse.
 func (c *Client) parse(sql string) (*ast.Query, error) {
-	if q, ok := c.parsed.get(sql); ok {
-		return q, nil
+	e, leader := c.parsed.acquire(sql)
+	if leader {
+		if c.ParseHook != nil {
+			c.ParseHook(sql)
+		}
+		q, err := sqlparser.Parse(sql)
+		c.parsed.fill(sql, e, q, err)
 	}
-	if c.ParseHook != nil {
-		c.ParseHook(sql)
-	}
-	q, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	c.parsed.put(sql, q)
-	return q, nil
+	<-e.done
+	return e.q, e.err
 }
 
 // Execute plans and runs a query AST, going through the plan cache: the

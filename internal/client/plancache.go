@@ -177,40 +177,65 @@ func (pc *planCache) purge() {
 
 // parseCache is a bounded SQL-string → parsed-AST cache. Cached ASTs are
 // shared and treated as read-only: every consumer (hoisting, preparation)
-// clones before mutating.
+// clones before mutating. Entries fill under the plan cache's single-flight
+// protocol: when N goroutines miss the same SQL simultaneously, one parses
+// and the rest wait for its AST.
 type parseCache struct {
 	mu  sync.Mutex
 	cap int
-	m   map[string]*ast.Query
+	m   map[string]*parseEntry
+}
+
+// parseEntry is a cache slot. done closes when the filling goroutine has
+// parsed; waiters block on it and then read q and err.
+type parseEntry struct {
+	done chan struct{}
+	q    *ast.Query
+	err  error
 }
 
 func newParseCache(capacity int) *parseCache {
-	return &parseCache{cap: capacity, m: make(map[string]*ast.Query)}
+	return &parseCache{cap: capacity, m: make(map[string]*parseEntry)}
 }
 
-func (pc *parseCache) get(sql string) (*ast.Query, bool) {
+// acquire returns the entry for sql and whether the caller is its leader
+// (responsible for filling it). A hit is one locked map lookup.
+func (pc *parseCache) acquire(sql string) (e *parseEntry, leader bool) {
 	pc.mu.Lock()
-	q, ok := pc.m[sql]
-	pc.mu.Unlock()
-	return q, ok
-}
-
-func (pc *parseCache) clear() {
-	pc.mu.Lock()
-	pc.m = make(map[string]*ast.Query)
-	pc.mu.Unlock()
-}
-
-func (pc *parseCache) put(sql string, q *ast.Query) {
-	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if e, ok := pc.m[sql]; ok {
+		return e, false
+	}
 	if len(pc.m) >= pc.cap {
 		// Arbitrary-member eviction, like the decryption cache: Go map
-		// iteration order serves as the random draw.
+		// iteration order serves as the random draw. An evicted pending
+		// entry still fills for the callers already waiting on it.
 		for k := range pc.m {
 			delete(pc.m, k)
 			break
 		}
 	}
-	pc.m[sql] = q
+	e = &parseEntry{done: make(chan struct{})}
+	pc.m[sql] = e
+	return e, true
+}
+
+// fill publishes the leader's parse and wakes waiters. A failed parse is
+// not cached: its entry leaves the map, so the next call parses afresh.
+func (pc *parseCache) fill(sql string, e *parseEntry, q *ast.Query, err error) {
+	e.q, e.err = q, err
+	if err != nil {
+		pc.mu.Lock()
+		if pc.m[sql] == e {
+			delete(pc.m, sql)
+		}
+		pc.mu.Unlock()
+	}
+	close(e.done)
+}
+
+func (pc *parseCache) clear() {
+	pc.mu.Lock()
+	pc.m = make(map[string]*parseEntry)
 	pc.mu.Unlock()
 }

@@ -52,16 +52,6 @@ func (s *rowSource) n() int {
 	return len(s.ids)
 }
 
-// rowID maps a scan position to the global table row id — the stability
-// tiebreaker streamed top-N ranks by. Positions are monotone in row id
-// either way, so per-shard candidates stay comparable across shard counts.
-func (s *rowSource) rowID(pos int) int {
-	if s.ids == nil {
-		return pos
-	}
-	return int(s.ids[pos])
-}
-
 // newSourceIterator streams src's rows at positions [lo,hi) in batches:
 // the plain telescoping scan for a full source, the id-list scan for an
 // index-restricted one.

@@ -553,32 +553,23 @@ type groupEmitter struct {
 	specs   []aggSpec
 	groups  *groupSet
 	in      *relation // column layout for GROUP BY references; rows nil
-	outer   *env
 	aliases map[string]ast.Expr
-	size    int
 	pos     int
 	closed  bool
 }
 
 // newGroupEmitter prepares batch emission over the accumulated groups.
-func (c *execCtx) newGroupEmitter(q *ast.Query, specs []aggSpec, groups *groupSet, in *relation, outer *env) (*groupEmitter, error) {
+func (c *execCtx) newGroupEmitter(q *ast.Query, specs []aggSpec, groups *groupSet, in *relation) (*groupEmitter, error) {
 	if err := c.ensureGroup(q, specs, groups); err != nil {
 		return nil, err
 	}
-	size := c.batch
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &groupEmitter{
-		c: c, q: q, specs: specs, groups: groups, in: in, outer: outer,
-		aliases: aliasMap(q), size: size,
-	}, nil
+	return &groupEmitter{c: c, q: q, specs: specs, groups: groups, in: in, aliases: aliasMap(q)}, nil
 }
 
 func (g *groupEmitter) next() ([][]value.Value, error) {
 	for !g.closed && g.pos < len(g.groups.order) {
 		lo := g.pos
-		hi := lo + g.size
+		hi := lo + g.c.batch
 		if hi > len(g.groups.order) {
 			hi = len(g.groups.order)
 		}
@@ -590,7 +581,7 @@ func (g *groupEmitter) next() ([][]value.Value, error) {
 		out := make([][]value.Value, 0, hi-lo)
 		for gi := lo; gi < hi; gi++ {
 			grp := g.groups.m[g.groups.order[gi]]
-			en := groupEnv(g.c, g.in, grp, resolved[gi-lo], g.aliases, g.outer)
+			en := groupEnv(g.c, g.in, grp, resolved[gi-lo], g.aliases, nil)
 			vals, keep, err := finalizeGroup(en, g.q)
 			if err != nil {
 				return nil, err

@@ -8,10 +8,11 @@
 // extraction, correlated and uncorrelated subqueries (with automatic
 // decorrelation of equality-correlated EXISTS/IN/scalar-aggregate
 // subqueries), GROUP BY/HAVING, DISTINCT, ORDER BY and LIMIT. The
-// streaming mode (Engine.BatchSize > 0; see stream.go) runs single-table
-// scan → filter → projection/aggregation pipelines batch-at-a-time without
-// materializing intermediates — in the spirit of vectorized analytical
-// scan engines such as Polynesia's — and falls back to the materialized
+// streaming mode (Engine.BatchSize > 0; see stream.go) runs subquery-free
+// queries over base tables — scans and the probe side of joins, into
+// projection, aggregation, DISTINCT or top-N — batch-at-a-time without
+// materializing intermediates, in the spirit of vectorized analytical
+// scan engines such as Polynesia's, and falls back to the materialized
 // operators for everything else. Both modes shard their row loops across
 // Engine.Parallelism workers (see parallel.go) and produce byte-identical
 // results. The engine reports byte-accurate scan statistics that the
@@ -108,7 +109,7 @@ func (r *Result) Bytes() int64 {
 // GOMAXPROCS; 1 forces the fully sequential path.
 //
 // BatchSize enables the streaming batch-at-a-time pipeline (see stream.go):
-// values > 0 run eligible single-table queries as scan → filter →
+// values > 0 run eligible queries as scan → filter [→ probe…] →
 // projection/aggregation over row batches of that size without
 // materializing intermediates (1 degenerates to row-at-a-time streaming);
 // 0, the default, keeps every operator materialized. Results are
@@ -194,12 +195,9 @@ func (e *Engine) IsAggUDF(name string) bool {
 
 // Execute runs q with the given parameter bindings.
 func (e *Engine) Execute(q *ast.Query, params map[string]value.Value) (*Result, error) {
-	ctx := &execCtx{
-		eng: e, params: params, stats: &Stats{},
-		subq:   make(map[*ast.Query]*subqPlan),
-		par:    e.effectiveParallelism(),
-		batch:  e.BatchSize,
-		useIdx: e.UseIndexes,
+	ctx := e.newExecCtx(params)
+	if err := ctx.checkNames(q); err != nil {
+		return nil, err
 	}
 	rel, err := ctx.execQuery(q, nil)
 	if err != nil {
@@ -211,6 +209,18 @@ func (e *Engine) Execute(q *ast.Query, params map[string]value.Value) (*Result, 
 	}
 	res.Stats.RowsOut = int64(len(res.Rows))
 	return res, nil
+}
+
+// newExecCtx starts the per-execution state of one Execute or
+// ExecuteStream call under the engine's current knobs.
+func (e *Engine) newExecCtx(params map[string]value.Value) *execCtx {
+	return &execCtx{
+		eng: e, params: params, stats: &Stats{},
+		subq:   make(map[*ast.Query]*subqPlan),
+		par:    e.effectiveParallelism(),
+		batch:  e.BatchSize,
+		useIdx: e.UseIndexes,
+	}
 }
 
 // execCtx carries per-execution state.

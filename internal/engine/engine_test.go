@@ -13,7 +13,7 @@ import (
 //
 //	orders(o_id, o_cust, o_total, o_date)
 //	items(i_order, i_qty, i_price, i_tag)
-func fixture(t *testing.T) *Engine {
+func fixture(t testing.TB) *Engine {
 	t.Helper()
 	cat := storage.NewCatalog()
 	orders, err := cat.Create(storage.Schema{
@@ -408,6 +408,35 @@ func TestUnknownColumnError(t *testing.T) {
 	q := sqlparser.MustParse(`SELECT nope FROM orders`)
 	if _, err := e.Execute(q, nil); err == nil {
 		t.Error("expected unknown column error")
+	}
+}
+
+// TestAliasCycleError: a SELECT alias resolves against the input columns
+// only, so an alias that names itself, or two aliases that name each
+// other, fail as unknown columns — at every batch size, through Execute
+// and ExecuteStream — instead of recursing until the stack overflows.
+// ORDER BY over an alias of an input column still resolves.
+func TestAliasCycleError(t *testing.T) {
+	e := fixture(t)
+	for _, bs := range []int{0, 64} {
+		e.BatchSize = bs
+		for _, sql := range []string{
+			`SELECT nope AS nope FROM orders ORDER BY nope`,
+			`SELECT a AS b, b AS a FROM orders ORDER BY a`,
+			`SELECT o_cust, SUM(o_total) AS s FROM orders GROUP BY o_cust HAVING s2 > 1 ORDER BY s2`,
+		} {
+			q := sqlparser.MustParse(sql)
+			if _, err := e.Execute(q, nil); err == nil {
+				t.Errorf("bs=%d Execute(%s) succeeded, want an unknown column error", bs, sql)
+			}
+			if _, err := e.ExecuteStream(q, nil); err == nil {
+				t.Errorf("bs=%d ExecuteStream(%s) succeeded, want an unknown column error", bs, sql)
+			}
+		}
+		res := run(t, e, `SELECT o_total, o_id AS k FROM orders ORDER BY k DESC`, nil)
+		if len(res.Rows) != 5 || res.Rows[0][1].AsInt() != 5 {
+			t.Errorf("bs=%d alias over an input column: %v", bs, res.Rows)
+		}
 	}
 }
 

@@ -57,13 +57,18 @@ func eval(en *env, e ast.Expr) (value.Value, error) {
 		if ok {
 			return v, nil
 		}
-		// Alias fallback for HAVING/ORDER BY referencing SELECT aliases.
+		// Alias fallback for HAVING/ORDER BY referencing SELECT aliases. An
+		// alias stands for an expression over the input columns, so it
+		// evaluates with its own scope's alias map removed: resolution never
+		// re-enters the map it came from, and a cycle such as `nope AS nope`
+		// or `b AS a, a AS b` fails as an unknown column instead of
+		// recursing without bound.
 		if x.Table == "" {
 			for e2 := en; e2 != nil; e2 = e2.outer {
-				if e2.aliases != nil {
-					if ae, ok := e2.aliases[x.Column]; ok {
-						return eval(e2, ae)
-					}
+				if ae, ok := e2.aliases[x.Column]; ok {
+					inner := *e2
+					inner.aliases = nil
+					return eval(&inner, ae)
 				}
 			}
 		}

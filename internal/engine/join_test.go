@@ -75,8 +75,9 @@ func renderJoinRows(res *Result) []string {
 
 // joinModeQueries are the shapes the ⟨Parallelism, BatchSize⟩ grid pins:
 // equi-join, residual-filtered join, grouped join, cross join (grouped and
-// projected), LIMIT early exit, and a three-table chain via a derived
-// self-reference of dims.
+// projected), LIMIT early exit, ORDER BY over the streamed join front
+// (with ties the sort must keep in join order, plain and DISTINCT), and a
+// three-table chain via a derived self-reference of dims.
 var joinModeQueries = []string{
 	`SELECT f_id, d_name FROM facts, dims WHERE f_dim = d_id`,
 	`SELECT f_id, d_name FROM facts, dims WHERE f_dim = d_id AND f_val > d_id + 100`,
@@ -86,6 +87,8 @@ var joinModeQueries = []string{
 	`SELECT f_id, d_name FROM facts, dims WHERE f_dim = d_id LIMIT 31`,
 	`SELECT f_id, d_name FROM facts, dims WHERE f_dim = d_id ORDER BY f_id, d_name LIMIT 20`,
 	`SELECT DISTINCT d_name FROM facts, dims WHERE f_dim = d_id`,
+	`SELECT f_id, d_name FROM facts, dims WHERE f_dim = d_id AND f_val < 120 ORDER BY d_name DESC`,
+	`SELECT DISTINCT f_val, d_id FROM facts, dims WHERE f_dim = d_id AND f_id < 300 ORDER BY f_val, d_id DESC`,
 	`SELECT a.f_id, d_name, b.f_val FROM facts a, dims, facts b
 	   WHERE a.f_dim = d_id AND b.f_id = a.f_id AND a.f_val < 40`,
 }

@@ -8,53 +8,50 @@ import (
 	"repro/internal/value"
 )
 
-// Streaming batch-at-a-time execution. When Engine.BatchSize > 0, queries
-// whose source is a single base-table scan run through a pull-based
-// (Volcano-style, vectorized) pipeline of fixed-size row batches instead of
-// materializing each operator's full output:
+// Streaming batch-at-a-time execution: one stream source, two sinks.
 //
-//	scan ──batch──▶ filter ──batch──▶ project ──batch──▶ sink
+// When Engine.BatchSize > 0, a subquery-free query over base tables runs
+// as a pull-based (Volcano-style, vectorized) pipeline of fixed-size row
+// batches instead of materializing each operator's full output. openStream
+// is the only place such a pipeline starts. Behind the one eligibility
+// gate (batch mode, a top-level scope, base tables that all exist, no
+// subquery) it builds the query's streamSource: the FROM/WHERE front as
+// independent chains over contiguous ranges of the input,
 //
-// Only the final result is materialized; the filtered intermediate that the
-// materialized path allocates never exists. Grouped aggregation consumes
-// the scan→filter stream directly — each batch folds into the per-group
-// AggState accumulators (the same states sharded execution merges with
-// AggState.Merge) — so a TPC-H-Q1-shaped scan streams end to end, crypto
-// UDFs included. LIMIT without ORDER BY stops pulling as soon as enough
-// rows have been produced, cutting the scan (and its charged I/O bytes)
-// short.
+//	one table:  scan ──batch──▶ filter ──batch──▶ [project]
+//	join:       scan(t0) ─▶ filter ─▶ probe₁ ─▶ … ─▶ probeₙ ─▶ residual ─▶ [project]
 //
-// Streaming composes with sharded execution: each worker runs its own
-// iterator chain over its contiguous row range, pulling and pushing batches
-// independently, and the per-shard outputs (row batches or group states)
-// recombine in shard order exactly as the materialized sharded path does.
-// Workers are joined before the query returns — early exit can never leak a
-// goroutine, because no iterator owns one.
-//
-// Multi-table queries stream through the probe side of their joins: the
+// A one-table scan may restrict through an index (access.go). A join's
 // build sides (every table the greedy join order attaches) materialize
-// into partitioned hash tables, and table 0's scan streams through the
-// probe chain one batch at a time (see joinStreamPlan.chain), feeding projection or
-// grouped aggregation without the join output ever existing as a whole.
+// into partitioned hash tables when the source opens; table 0's scan
+// streams through the probe chain, so the join output never exists as a
+// whole.
 //
-// DISTINCT without ORDER BY streams too: a seen-set filter over the
-// projected stream emits each row's first occurrence batch-at-a-time
-// (distinctIterator sequentially; streamDistinct's per-shard pre-dedup +
-// shard-order replay when sharded), replacing the materialized keep-bitmap
-// pass. Operators with no streaming form fall back to the materialized
-// engine: full ORDER BY sorts (except streamed top-N) and (correlated)
-// subqueries. ORDER BY over a single-table scan still streams the
-// scan→filter front of the pipeline and materializes only the survivors
-// ("partial" streaming); everything else — FROM subqueries, any subquery
-// expression, correlated evaluation under a non-nil outer env — takes the
-// fully materialized path. Sharded streaming loops pin their shard bounds
-// to the sequential scan's batch grid (shardStreamBounds), so per-batch
-// statistics — not just results — are identical at every parallelism
-// level. Results are byte-identical to the materialized path at every
-// batch size and parallelism level, with the same single carve-out
-// documented in parallel.go: SUM/AVG over Float columns may differ in the
-// last ULP when sharded, because per-shard partial sums regroup the float
-// additions (batching alone does not reorder them).
+// Two sinks drain the source:
+//
+//   - The collect sink, execStreamed, behind Execute. Grouped aggregation
+//     folds each batch into the per-group AggState accumulators; rows
+//     drain with LIMIT early exit, which cuts the scan (and its charged
+//     I/O) short; DISTINCT streams through a seen-set; ORDER BY … LIMIT
+//     over one table keeps a bounded top-N heap; any other ORDER BY
+//     streams the front and materializes only its survivors for the sort.
+//   - The pull sink, pipelinedStream, behind ExecuteStream
+//     (stream_api.go), which emits rows, groups and top-N batch by batch.
+//
+// Everything else — derived tables, subqueries, correlated evaluation
+// under a non-nil outer env — runs the materialized operators.
+//
+// Both sinks shard: each worker runs its own chain over a contiguous range
+// pinned to the sequential scan's batch grid (shardStreamBounds), and the
+// per-shard outputs (row batches, group states, top-N candidates)
+// recombine in shard order, so per-batch statistics — not just results —
+// are identical at every parallelism level. Workers are joined before the
+// query returns; no iterator owns a goroutine. Results are byte-identical
+// to the materialized path at every batch size and parallelism level, with
+// the single carve-out documented in parallel.go: SUM/AVG over Float
+// columns may differ in the last ULP when sharded, because per-shard
+// partial sums regroup the float additions (batching alone does not
+// reorder them).
 
 // DefaultBatchSize is the batch size callers that just want streaming
 // should use: large enough to amortize per-batch overhead, small enough
@@ -133,11 +130,10 @@ func (it *scanIterator) close() { it.closed = true }
 // emitting the surviving subset (input row order preserved). Batches the
 // predicate empties entirely are skipped, not emitted.
 type filterIterator struct {
-	in    batchIterator
-	rel   *relation // column layout only; rows stay in the batches
-	pred  ast.Expr
-	outer *env
-	c     *execCtx
+	in   batchIterator
+	rel  *relation // column layout only; rows stay in the batches
+	pred ast.Expr
+	c    *execCtx
 }
 
 func (it *filterIterator) next() ([][]value.Value, error) {
@@ -148,7 +144,7 @@ func (it *filterIterator) next() ([][]value.Value, error) {
 		}
 		var out [][]value.Value
 		for _, row := range b {
-			en := &env{rel: it.rel, row: row, outer: it.outer, ctx: it.c}
+			en := &env{rel: it.rel, row: row, ctx: it.c}
 			ok, err := evalBool(en, it.pred)
 			if err != nil {
 				return nil, err
@@ -171,7 +167,6 @@ type projectIterator struct {
 	q       *ast.Query
 	rel     *relation
 	aliases map[string]ast.Expr
-	outer   *env
 	c       *execCtx
 }
 
@@ -182,7 +177,7 @@ func (it *projectIterator) next() ([][]value.Value, error) {
 	}
 	out := make([][]value.Value, len(b))
 	for i, row := range b {
-		en := &env{rel: it.rel, row: row, outer: it.outer, aliases: it.aliases, ctx: it.c}
+		en := &env{rel: it.rel, row: row, aliases: it.aliases, ctx: it.c}
 		vals, err := projectRow(en, it.q)
 		if err != nil {
 			return nil, err
@@ -326,7 +321,6 @@ type probeIterator struct {
 	keys  []ast.Expr // probe key expressions (hash step)
 	build *joinBuild // hash step: partitioned build side
 	cross *relation  // cross step: full build side
-	outer *env
 	c     *execCtx
 
 	// Expansion state carried across next calls.
@@ -339,9 +333,6 @@ type probeIterator struct {
 
 func (it *probeIterator) next() ([][]value.Value, error) {
 	target := it.c.batch
-	if target <= 0 {
-		target = DefaultBatchSize
-	}
 	var out [][]value.Value
 	for {
 		// Drain the in-flight expansion first.
@@ -376,7 +367,7 @@ func (it *probeIterator) next() ([][]value.Value, error) {
 			it.lrow, it.matches, it.mi = lrow, it.cross.rows, 0
 			continue
 		}
-		en := &env{rel: it.rel, row: lrow, outer: it.outer, ctx: it.c}
+		en := &env{rel: it.rel, row: lrow, ctx: it.c}
 		key, null, err := joinKey(en, it.keys)
 		if err != nil {
 			return nil, err
@@ -407,9 +398,8 @@ type joinStreamPlan struct {
 
 // prepareJoinStream plans a multi-table q and materializes every build
 // side (charging the build-side scans and filters on c, with sharded
-// builds). The caller must have verified stream eligibility (batch size,
-// base tables, no subqueries) and that every FROM table exists.
-func (c *execCtx) prepareJoinStream(q *ast.Query, outer *env) (*joinStreamPlan, error) {
+// builds). Only openStream calls it, after the eligibility gate.
+func (c *execCtx) prepareJoinStream(q *ast.Query) (*joinStreamPlan, error) {
 	refNames := make([]string, len(q.From))
 	for i := range q.From {
 		refNames[i] = q.From[i].RefName()
@@ -419,13 +409,9 @@ func (c *execCtx) prepareJoinStream(q *ast.Query, outer *env) (*joinStreamPlan, 
 		return nil, err
 	}
 	rels := make([]*relation, len(q.From))
-	cols0 := make([]colInfo, len(t0.Schema.Cols))
-	for i, col := range t0.Schema.Cols {
-		cols0[i] = colInfo{table: refNames[0], name: col.Name}
-	}
-	rels[0] = &relation{cols: cols0} // layout only; rows stream
+	rels[0] = tableLayout(t0, refNames[0]) // layout only; rows stream
 	for i := 1; i < len(q.From); i++ {
-		r, err := c.execFrom(&q.From[i], outer)
+		r, err := c.execFrom(&q.From[i], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -442,7 +428,7 @@ func (c *execCtx) prepareJoinStream(q *ast.Query, outer *env) (*joinStreamPlan, 
 		if len(plan.perTable[i]) == 0 {
 			continue
 		}
-		filtered, err := c.filter(rels[i], ast.AndAll(plan.perTable[i]), outer)
+		filtered, err := c.filter(rels[i], ast.AndAll(plan.perTable[i]), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -454,7 +440,7 @@ func (c *execCtx) prepareJoinStream(q *ast.Query, outer *env) (*joinStreamPlan, 
 	for _, st := range plan.steps {
 		var build *joinBuild
 		if len(st.leftKeys) > 0 {
-			build, err = c.buildJoinMap(rels[st.next], st.rightKeys, outer)
+			build, err = c.buildJoinMap(rels[st.next], st.rightKeys, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -476,131 +462,166 @@ func (c *execCtx) prepareJoinStream(q *ast.Query, outer *env) (*joinStreamPlan, 
 // join output — often the largest intermediate of the query — never
 // exists as a whole, and the first joined batch is available after one
 // probe batch instead of after the full probe scan.
-func (jp *joinStreamPlan) chain(sc *execCtx, outer *env, lo, hi int, project bool) batchIterator {
+func (jp *joinStreamPlan) chain(sc *execCtx, lo, hi int, project bool) batchIterator {
 	var it batchIterator = newScanIterator(sc.stats, jp.t0, lo, hi, sc.batch)
 	if len(jp.plan.perTable[0]) > 0 {
-		it = &filterIterator{in: it, rel: jp.rels[0], pred: ast.AndAll(jp.plan.perTable[0]), outer: outer, c: sc}
+		it = &filterIterator{in: it, rel: jp.rels[0], pred: ast.AndAll(jp.plan.perTable[0]), c: sc}
 	}
 	cols := jp.rels[0].cols
 	for si, st := range jp.plan.steps {
 		probeLayout := &relation{cols: cols}
 		if jp.builds[si] == nil {
-			it = &probeIterator{in: it, rel: probeLayout, cross: jp.rels[st.next], outer: outer, c: sc}
+			it = &probeIterator{in: it, rel: probeLayout, cross: jp.rels[st.next], c: sc}
 		} else {
-			it = &probeIterator{in: it, rel: probeLayout, keys: st.leftKeys, build: jp.builds[si], outer: outer, c: sc}
+			it = &probeIterator{in: it, rel: probeLayout, keys: st.leftKeys, build: jp.builds[si], c: sc}
 		}
 		cols = append(cols[:len(cols):len(cols)], jp.rels[st.next].cols...)
 	}
 	if len(jp.plan.residual) > 0 {
-		it = &filterIterator{in: it, rel: jp.joined, pred: ast.AndAll(jp.plan.residual), outer: outer, c: sc}
+		it = &filterIterator{in: it, rel: jp.joined, pred: ast.AndAll(jp.plan.residual), c: sc}
 	}
 	if project {
-		it = &projectIterator{in: it, q: jp.q, rel: jp.joined, aliases: aliasMap(jp.q), outer: outer, c: sc}
+		it = &projectIterator{in: it, q: jp.q, rel: jp.joined, aliases: aliasMap(jp.q), c: sc}
 	}
 	return it
-}
-
-// execJoinStreamed is the batch-mode entry for multi-table queries: the
-// join input streams through the probe pipeline, composing with sharding
-// exactly like single-table streaming — the build sides are prepared once
-// and each worker runs its own chain over a contiguous probe-row range,
-// with per-shard outputs (row batches or group states) recombining in
-// shard order. Grouped queries fold each joined batch straight into the
-// accumulation states (the join output is never materialized); non-grouped
-// queries drain with LIMIT early exit (a limit forces the one sequential
-// chain, as in streamRows); DISTINCT without ORDER BY streams through the
-// per-shard dedup of streamDistinct. ORDER BY shapes fall back to the
-// materialized operators.
-func (c *execCtx) execJoinStreamed(q *ast.Query, outer *env) (*relation, bool, bool, error) {
-	for i := range q.From {
-		if _, err := c.eng.Cat.Table(q.From[i].Name); err != nil {
-			// Let the materialized path report the unknown table
-			// consistently.
-			return nil, false, false, nil
-		}
-	}
-	grouped := c.isGrouped(q)
-	if !grouped && len(q.OrderBy) > 0 {
-		return nil, false, false, nil
-	}
-	jp, err := c.prepareJoinStream(q, outer)
-	if err != nil {
-		return nil, true, false, err
-	}
-	n := jp.t0.NumRows()
-	// Eligibility already guarantees parallelSafe: outer is nil and no
-	// clause contains a subquery.
-	shards := c.shardCount(n)
-
-	if grouped {
-		specs := c.collectAggSpecs(q)
-		groups, err := c.streamGroups(specs, n, func(sc *execCtx, gs *groupSet, lo, hi int) error {
-			return sc.accumulateJoinStream(q, specs, gs, jp, outer, lo, hi)
-		})
-		if err != nil {
-			return nil, true, false, err
-		}
-		out, err := c.finishGrouped(q, specs, groups, jp.joined, outer)
-		return out, true, false, err
-	}
-
-	if q.Distinct {
-		rows, err := c.streamDistinct(q, n, func(sc *execCtx, lo, hi int) batchIterator {
-			return jp.chain(sc, outer, lo, hi, true)
-		})
-		if err != nil {
-			return nil, true, true, err
-		}
-		return &relation{cols: projectionCols(q), rows: rows}, true, true, nil
-	}
-
-	if shards <= 1 || q.Limit >= 0 {
-		rows, err := drainLimit(jp.chain(c, outer, 0, n, true), q.Limit)
-		if err != nil {
-			return nil, true, false, err
-		}
-		return &relation{cols: projectionCols(q), rows: rows}, true, false, nil
-	}
-	rows, err := c.shardedRowsBounds(shardStreamBounds(n, shards, c.batch), func(sc *execCtx, lo, hi int) ([][]value.Value, error) {
-		return drainLimit(jp.chain(sc, outer, lo, hi, true), -1)
-	})
-	if err != nil {
-		return nil, true, false, err
-	}
-	return &relation{cols: projectionCols(q), rows: rows}, true, false, nil
-}
-
-// accumulateJoinStream pulls one shard's join chain over probe rows
-// [lo,hi) and folds each joined batch into gs.
-func (c *execCtx) accumulateJoinStream(q *ast.Query, specs []aggSpec, gs *groupSet, jp *joinStreamPlan, outer *env, lo, hi int) error {
-	it := jp.chain(c, outer, lo, hi, false)
-	for {
-		b, err := it.next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		if err := c.accumulateRows(q, specs, gs, jp.joined, b, outer); err != nil {
-			return err
-		}
-	}
 }
 
 // streamPipeline assembles scan → [filter] → [project] over src's rows at
 // positions [lo,hi), evaluating on c (so a shard context accumulates its
 // own stats). src may be the whole table or an index-restricted id list —
 // the residual filter re-applies the full WHERE either way.
-func (c *execCtx) streamPipeline(q *ast.Query, src *rowSource, layout *relation, aliases map[string]ast.Expr, outer *env, lo, hi int, project bool) batchIterator {
+func (c *execCtx) streamPipeline(q *ast.Query, src *rowSource, layout *relation, aliases map[string]ast.Expr, lo, hi int, project bool) batchIterator {
 	var it batchIterator = newSourceIterator(c.stats, src, lo, hi, c.batch)
 	if q.Where != nil {
-		it = &filterIterator{in: it, rel: layout, pred: q.Where, outer: outer, c: c}
+		it = &filterIterator{in: it, rel: layout, pred: q.Where, c: c}
 	}
 	if project {
-		it = &projectIterator{in: it, q: q, rel: layout, aliases: aliases, outer: outer, c: c}
+		it = &projectIterator{in: it, q: q, rel: layout, aliases: aliases, c: c}
 	}
 	return it
+}
+
+// streamSource is the one input both sinks build on: q's FROM/WHERE front
+// as independent batch pipelines over contiguous ranges of its n input
+// positions (table 0's scan positions; an index-restricted id list's for
+// one table). chain builds the pipeline over [lo,hi) on a (shard)
+// context — streamPipeline for one table, joinStreamPlan.chain for joins —
+// ending in the SELECT-list projection when project is set, else emitting
+// unprojected rows in layout.
+type streamSource struct {
+	n      int
+	layout *relation // unprojected row layout: the table's, or the joined one
+	chain  func(sc *execCtx, lo, hi int, project bool) batchIterator
+}
+
+// streamable is the streaming eligibility gate: batch mode on, a top-level
+// scope, and a query shape that can stream (streamShape).
+func (c *execCtx) streamable(q *ast.Query, outer *env) bool {
+	return c.batch > 0 && outer == nil && c.streamShape(q)
+}
+
+// streamShape reports whether q has a streamable shape: a subquery-free
+// query over base tables that all exist. Subquery planning memoizes state
+// on the execution context (see parallelSafe), derived tables have no
+// scan to stream, and an unknown table is left for the materialized path
+// to report.
+func (c *execCtx) streamShape(q *ast.Query) bool {
+	if len(q.From) == 0 || streamBlocked(q) {
+		return false
+	}
+	for i := range q.From {
+		if q.From[i].Sub != nil {
+			return false
+		}
+		if _, err := c.eng.Cat.Table(q.From[i].Name); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// openStream constructs q's stream source; it is the only constructor.
+// ok=false means q fails the eligibility gate and must run materialized.
+// Access-path selection happens here for one table (access.go: ids are
+// ascending, so every order-sensitive stage downstream sees table order);
+// for a join the build sides are planned, filtered and materialized here,
+// and a failure returns ok=true with the error.
+func (c *execCtx) openStream(q *ast.Query, outer *env) (*streamSource, bool, error) {
+	if !c.streamable(q, outer) {
+		return nil, false, nil
+	}
+	if len(q.From) > 1 {
+		jp, err := c.prepareJoinStream(q)
+		if err != nil {
+			return nil, true, err
+		}
+		return &streamSource{n: jp.t0.NumRows(), layout: jp.joined, chain: jp.chain}, true, nil
+	}
+	f := &q.From[0]
+	t, _ := c.eng.Cat.Table(f.Name)
+	layout := tableLayout(t, f.RefName())
+	src := c.indexSource(q, t, f.RefName())
+	aliases := aliasMap(q)
+	chain := func(sc *execCtx, lo, hi int, project bool) batchIterator {
+		return sc.streamPipeline(q, src, layout, aliases, lo, hi, project)
+	}
+	return &streamSource{n: src.n(), layout: layout, chain: chain}, true, nil
+}
+
+// streamsTopN reports whether a non-grouped q runs as streamed top-N:
+// ORDER BY … LIMIT without DISTINCT over one table (the tiebreak ranks
+// rows by scan position, which a join's fanout would not keep unique).
+func streamsTopN(q *ast.Query) bool {
+	return len(q.OrderBy) > 0 && q.Limit >= 0 && !q.Distinct && len(q.From) == 1
+}
+
+// execStreamed is the collect sink: it drains q's stream source into the
+// pre-LIMIT output relation, exactly like execGrouped/execProject return
+// it. handled=false means q is not streamable and the caller runs the
+// materialized operators; deduped=true means DISTINCT was already applied
+// in-stream (streamDistinct), so the caller must skip the materialized
+// dedup pass.
+func (c *execCtx) execStreamed(q *ast.Query, outer *env) (*relation, bool, bool, error) {
+	ss, ok, err := c.openStream(q, outer)
+	if !ok || err != nil {
+		return nil, ok, false, err
+	}
+	if c.isGrouped(q) {
+		specs := c.collectAggSpecs(q)
+		groups, err := c.streamGroups(q, specs, ss)
+		if err != nil {
+			return nil, true, false, err
+		}
+		out, err := c.finishGrouped(q, specs, groups, ss.layout, nil)
+		return out, true, false, err
+	}
+	if len(q.OrderBy) > 0 && !streamsTopN(q) {
+		// ORDER BY needs the materialized sort: the scan→filter[→probe…]
+		// front still streams and only its survivors materialize for
+		// execProject. The scan iterators have already charged the scan,
+		// so the survivors must not go back through execFrom.
+		front, err := c.streamRows(ss, false, -1)
+		if err != nil {
+			return nil, true, false, err
+		}
+		out, err := c.execProject(q, &relation{cols: ss.layout.cols, rows: front}, nil)
+		return out, true, false, err
+	}
+	var rows [][]value.Value
+	switch {
+	case len(q.OrderBy) > 0:
+		rows, err = c.streamTopN(q, ss)
+	case q.Distinct:
+		rows, err = c.streamDistinct(q, ss)
+	default:
+		rows, err = c.streamRows(ss, true, q.Limit)
+	}
+	if err != nil {
+		return nil, true, false, err
+	}
+	// Top-N excludes DISTINCT, so a DISTINCT query got here through
+	// streamDistinct and is already deduplicated.
+	return &relation{cols: projectionCols(q), rows: rows}, true, q.Distinct, nil
 }
 
 // drainLimit pulls a stream to completion, or until limit rows (limit < 0 =
@@ -654,106 +675,46 @@ func tableLayout(t *storage.Table, ref string) *relation {
 	return &relation{cols: cols}
 }
 
-// execStreamed attempts the batch-at-a-time path for q. It reports
-// handled=false when the query is not streamable (the caller then runs the
-// materialized path); the relation it returns is the pre-LIMIT output,
-// exactly like execGrouped/execProject return it. deduped=true means
-// DISTINCT was already applied in-stream (streamDistinct), so the caller
-// must skip the materialized dedup pass.
-func (c *execCtx) execStreamed(q *ast.Query, outer *env) (*relation, bool, bool, error) {
-	if c.batch <= 0 || outer != nil || len(q.From) == 0 || streamBlocked(q) {
-		return nil, false, false, nil
+// streamRows drains the (optionally projecting) pipeline over the whole
+// source, sharding the range across workers when it is large enough.
+// Each worker pulls batches over its own contiguous range on its own shard
+// context; the per-shard outputs concatenate in shard order, so row order —
+// and therefore the final result — is byte-identical to a sequential
+// stream and to the materialized path. A limit forces the sequential
+// drain: only the global row-prefix matters, so one early-exiting stream
+// is the least work possible, whereas sharding would make every worker
+// scan for up to limit rows of its own range (most of them discarded) and
+// leave the charged scan stats varying with the Parallelism knob.
+func (c *execCtx) streamRows(ss *streamSource, project bool, limit int) ([][]value.Value, error) {
+	shards := c.shardCount(ss.n)
+	if shards <= 1 || limit >= 0 {
+		return drainLimit(ss.chain(c, 0, ss.n, project), limit)
 	}
-	for i := range q.From {
-		if q.From[i].Sub != nil {
-			return nil, false, false, nil
-		}
-	}
-	if len(q.From) > 1 {
-		return c.execJoinStreamed(q, outer)
-	}
-	f := &q.From[0]
-	t, err := c.eng.Cat.Table(f.Name)
-	if err != nil {
-		// Let the materialized path report the unknown table consistently.
-		return nil, false, false, nil
-	}
-	layout := tableLayout(t, f.RefName())
-	// Access-path selection: the scan may restrict through an index
-	// (access.go); ids are ascending, so every downstream order-sensitive
-	// stage (grouped first-encounter order, DISTINCT first occurrence,
-	// top-N stability) sees table order, byte-identical to the full scan.
-	src := c.indexSource(q, t, f.RefName())
-
-	if c.isGrouped(q) {
-		out, err := c.execGroupedStream(q, src, layout, outer)
-		return out, true, false, err
-	}
-
-	if len(q.OrderBy) == 0 && !q.Distinct {
-		rows, err := c.streamProject(q, src, layout, outer)
-		if err != nil {
-			return nil, true, false, err
-		}
-		return &relation{cols: projectionCols(q), rows: rows}, true, false, nil
-	}
-
-	// DISTINCT without ORDER BY: fully streamed dedup — the seen-set
-	// emission of streamDistinct replaces the materialize-then-bitmap
-	// pass, with LIMIT counting deduplicated rows.
-	if q.Distinct && len(q.OrderBy) == 0 {
-		aliases := aliasMap(q)
-		rows, err := c.streamDistinct(q, src.n(), func(sc *execCtx, lo, hi int) batchIterator {
-			return sc.streamPipeline(q, src, layout, aliases, outer, lo, hi, true)
-		})
-		if err != nil {
-			return nil, true, true, err
-		}
-		return &relation{cols: projectionCols(q), rows: rows}, true, true, nil
-	}
-
-	// ORDER BY ... LIMIT k without DISTINCT: streamed top-N. A bounded
-	// heap over the scan→filter stream keeps only the best k rows, so the
-	// full sort input is never materialized.
-	if len(q.OrderBy) > 0 && q.Limit >= 0 && !q.Distinct {
-		out, err := c.streamTopN(q, src, layout, outer)
-		return out, true, false, err
-	}
-
-	// Mid-query fallback: ORDER BY (with or without DISTINCT) needs the
-	// materialized sort. The scan→filter front of the pipeline still
-	// streams; only its survivors are materialized and handed to the
-	// materialized projector. The scan iterator has already charged
-	// BytesScanned/RowsScanned, so the drained relation must NOT go back
-	// through execFrom — that would double-count the scan.
-	rows, err := c.streamRows(q, src, layout, nil, outer, false, -1)
-	if err != nil {
-		return nil, true, false, err
-	}
-	out, err := c.execProject(q, &relation{cols: layout.cols, rows: rows}, outer)
-	return out, true, false, err
+	return c.shardedRowsBounds(shardStreamBounds(ss.n, shards, c.batch), func(sc *execCtx, lo, hi int) ([][]value.Value, error) {
+		return drainLimit(ss.chain(sc, lo, hi, project), -1)
+	})
 }
 
-// streamDistinct drains a projecting pipeline through streaming dedup.
-// Sequentially, one seen-set filters the stream inline. Sharded, each
-// worker drops its own shard's re-occurrences (only a shard's first
-// occurrence of a key can be globally first) and returns the surviving
-// candidates with their rendered keys; the candidates then replay in shard
-// order through one global seen-set, so the kept rows — and their order —
-// are exactly the sequential scan's first occurrences. A LIMIT counts
-// deduplicated output rows and forces the sequential drain, as in
-// streamRows.
-func (c *execCtx) streamDistinct(q *ast.Query, n int, mkChain func(sc *execCtx, lo, hi int) batchIterator) ([][]value.Value, error) {
-	shards := c.shardCount(n)
+// streamDistinct drains the projecting pipeline through streaming dedup,
+// replacing the materialize-then-bitmap pass. Sequentially, one seen-set
+// filters the stream inline. Sharded, each worker drops its own shard's
+// re-occurrences (only a shard's first occurrence of a key can be globally
+// first) and returns the surviving candidates with their rendered keys;
+// the candidates then replay in shard order through one global seen-set,
+// so the kept rows — and their order — are exactly the sequential scan's
+// first occurrences. A LIMIT counts deduplicated output rows and forces
+// the sequential drain, as in streamRows.
+func (c *execCtx) streamDistinct(q *ast.Query, ss *streamSource) ([][]value.Value, error) {
+	shards := c.shardCount(ss.n)
 	if shards <= 1 || q.Limit >= 0 {
-		return drainLimit(&distinctIterator{in: mkChain(c, 0, n)}, q.Limit)
+		return drainLimit(&distinctIterator{in: ss.chain(c, 0, ss.n, true)}, q.Limit)
 	}
 	type part struct {
 		rows [][]value.Value
 		keys []string
 	}
-	parts, err := shardedCollectBounds(c, shardStreamBounds(n, shards, c.batch), func(sc *execCtx, lo, hi int) (part, error) {
-		it := mkChain(sc, lo, hi)
+	parts, err := shardedCollectBounds(c, shardStreamBounds(ss.n, shards, c.batch), func(sc *execCtx, lo, hi int) (part, error) {
+		it := ss.chain(sc, lo, hi, true)
 		defer it.close()
 		seen := make(map[string]bool)
 		var p part
@@ -782,87 +743,51 @@ func (c *execCtx) streamDistinct(q *ast.Query, n int, mkChain func(sc *execCtx, 
 	return out, nil
 }
 
-// streamProject runs the fully streamed non-grouped pipeline: scan →
-// filter → project, with LIMIT early exit.
-func (c *execCtx) streamProject(q *ast.Query, src *rowSource, layout *relation, outer *env) ([][]value.Value, error) {
-	return c.streamRows(q, src, layout, aliasMap(q), outer, true, q.Limit)
-}
-
-// streamRows drains the (optionally projecting) pipeline over the whole
-// table, sharding the row range across workers when it is large enough.
-// Each worker pulls batches over its own contiguous range on its own shard
-// context; the per-shard outputs concatenate in shard order, so row order —
-// and therefore the final result — is byte-identical to a sequential
-// stream and to the materialized path. A limit forces the sequential
-// drain: only the global row-prefix matters, so one early-exiting stream
-// is the least work possible, whereas sharding would make every worker
-// scan for up to limit rows of its own range (most of them discarded) and
-// leave the charged scan stats varying with the Parallelism knob.
-func (c *execCtx) streamRows(q *ast.Query, src *rowSource, layout *relation, aliases map[string]ast.Expr, outer *env, project bool, limit int) ([][]value.Value, error) {
-	n := src.n()
-	shards := c.shardCount(n)
-	if shards <= 1 || limit >= 0 {
-		return drainLimit(c.streamPipeline(q, src, layout, aliases, outer, 0, n, project), limit)
+// streamGroups feeds grouped aggregation from the unprojected stream: each
+// shard folds its batches into a fresh groupSet, so the filtered (or
+// joined) input is never materialized, and the per-shard sets merge in
+// shard order through the same AggState.Merge path the materialized
+// sharded engine uses. The eligibility gate has already established
+// parallel safety (nil outer env, subquery-free clauses).
+func (c *execCtx) streamGroups(q *ast.Query, specs []aggSpec, ss *streamSource) (*groupSet, error) {
+	acc := func(sc *execCtx, lo, hi int) (*groupSet, error) {
+		gs := newGroupSet()
+		it := ss.chain(sc, lo, hi, false)
+		for {
+			b, err := it.next()
+			if err != nil {
+				return nil, err
+			}
+			if b == nil {
+				return gs, nil
+			}
+			if err := sc.accumulateRows(q, specs, gs, ss.layout, b, nil); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return c.shardedRowsBounds(shardStreamBounds(n, shards, c.batch), func(sc *execCtx, lo, hi int) ([][]value.Value, error) {
-		return drainLimit(sc.streamPipeline(q, src, layout, aliases, outer, lo, hi, project), limit)
-	})
-}
-
-// execGroupedStream feeds grouped aggregation from the scan→filter stream:
-// each batch folds into the per-group accumulation states, so the filtered
-// input relation is never materialized.
-func (c *execCtx) execGroupedStream(q *ast.Query, src *rowSource, layout *relation, outer *env) (*relation, error) {
-	specs := c.collectAggSpecs(q)
-	groups, err := c.streamGroups(specs, src.n(), func(sc *execCtx, gs *groupSet, lo, hi int) error {
-		return sc.accumulateStream(q, specs, gs, layout, outer, lo, hi, src)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.finishGrouped(q, specs, groups, layout, outer)
-}
-
-// streamGroups runs the sharded grouped-stream protocol over n input rows:
-// acc folds one contiguous row range into a fresh groupSet on a shard
-// context, and the per-shard sets merge in shard order through the same
-// AggState.Merge path the materialized sharded engine uses. Callers must
-// already have established parallel safety (nil outer env, subquery-free
-// clauses — the streaming eligibility gate).
-func (c *execCtx) streamGroups(specs []aggSpec, n int, acc func(sc *execCtx, gs *groupSet, lo, hi int) error) (*groupSet, error) {
-	shards := c.shardCount(n)
+	shards := c.shardCount(ss.n)
 	if shards <= 1 {
-		gs := newGroupSet()
-		if err := acc(c, gs, 0, n); err != nil {
-			return nil, err
-		}
-		return gs, nil
+		return acc(c, 0, ss.n)
 	}
-	parts, err := shardedCollectBounds(c, shardStreamBounds(n, shards, c.batch), func(sc *execCtx, lo, hi int) (*groupSet, error) {
-		gs := newGroupSet()
-		if err := acc(sc, gs, lo, hi); err != nil {
-			return nil, err
-		}
-		return gs, nil
-	})
+	parts, err := shardedCollectBounds(c, shardStreamBounds(ss.n, shards, c.batch), acc)
 	if err != nil {
 		return nil, err
 	}
 	return c.mergeGroupParts(specs, parts)
 }
 
-// Streamed top-N: ORDER BY ... LIMIT k over a streamed scan keeps only
+// Streamed top-N: ORDER BY ... LIMIT k over a one-table stream keeps only
 // the k best rows in a bounded heap instead of materializing and sorting
 // the whole filtered input. Rows are ranked by the ORDER BY keys with the
-// global scan position as the final tiebreaker, which reproduces exactly
-// the stable sort + truncate of the materialized path: equal-key rows keep
-// their input order. Sharded execution collects a per-shard top-k (global
-// positions stay comparable across contiguous shards) and merges the
-// candidates with one final k-truncated sort, so results are byte-identical
-// at every shard count. Only the k winners are projected.
+// scan position as the final tiebreaker, which reproduces exactly the
+// stable sort + truncate of the materialized path: equal-key rows keep
+// their input order. Sharded execution collects a per-shard top-k and
+// merges the candidates with one final k-truncated sort, so results are
+// byte-identical at every shard count. Only the k winners are projected.
 
 // topNRow is one candidate: its ORDER BY key values, the input row (still
-// unprojected), and its global scan position.
+// unprojected), and its scan position.
 type topNRow struct {
 	keys []value.Value
 	row  []value.Value
@@ -870,7 +795,7 @@ type topNRow struct {
 }
 
 // topNLess is the total order of the streamed top-N: ORDER BY keys first
-// (Desc flips), global scan position as tiebreaker.
+// (Desc flips), scan position as tiebreaker.
 func topNLess(order []ast.OrderItem, a, b *topNRow) bool {
 	for i, o := range order {
 		cmp := value.Compare(a.keys[i], b.keys[i])
@@ -938,17 +863,17 @@ func (h *topNHeap) siftDown(i int) {
 	}
 }
 
-// streamTopN runs the bounded-heap ORDER BY ... LIMIT pipeline. The scan
-// streams (charging stats per batch) and filtering happens inline so each
-// surviving row keeps its global position for the stability tiebreak.
-func (c *execCtx) streamTopN(q *ast.Query, src *rowSource, layout *relation, outer *env) (*relation, error) {
+// streamTopN runs the bounded-heap collection over the unprojected stream
+// and projects the k winners. A shard over positions [lo,hi) numbers its
+// surviving rows from lo: they are at most hi-lo, so the numbering orders
+// rows across contiguous shards exactly as the sequential scan meets them.
+func (c *execCtx) streamTopN(q *ast.Query, ss *streamSource) ([][]value.Value, error) {
 	k := q.Limit
-	n := src.n()
 	aliases := aliasMap(q)
 	collect := func(sc *execCtx, lo, hi int) ([]topNRow, error) {
 		h := &topNHeap{order: q.OrderBy, k: k}
-		it := newSourceIterator(sc.stats, src, lo, hi, sc.batch)
-		pos := lo
+		it := ss.chain(sc, lo, hi, false)
+		seq := lo
 		for {
 			b, err := it.next()
 			if err != nil {
@@ -957,28 +882,11 @@ func (c *execCtx) streamTopN(q *ast.Query, src *rowSource, layout *relation, out
 			if b == nil {
 				return h.rows, nil
 			}
+			if k == 0 {
+				continue // LIMIT 0 still scans (stats match), keeps nothing
+			}
 			for _, row := range b {
-				// The tiebreaker is the global table row id, not the scan
-				// position: an index-restricted source skips rows but keeps
-				// id order, so stability matches the full scan exactly.
-				seq := src.rowID(pos)
-				pos++
-				if q.Where != nil {
-					// Filter env carries no aliases, matching filterIterator
-					// (WHERE cannot reference SELECT aliases).
-					fen := &env{rel: layout, row: row, outer: outer, ctx: sc}
-					ok, err := evalBool(fen, q.Where)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				if k == 0 {
-					continue // LIMIT 0 still scans (stats match), keeps nothing
-				}
-				en := &env{rel: layout, row: row, outer: outer, aliases: aliases, ctx: sc}
+				en := &env{rel: ss.layout, row: row, aliases: aliases, ctx: sc}
 				keys := make([]value.Value, len(q.OrderBy))
 				for i, o := range q.OrderBy {
 					v, err := eval(en, o.Expr)
@@ -988,20 +896,19 @@ func (c *execCtx) streamTopN(q *ast.Query, src *rowSource, layout *relation, out
 					keys[i] = v
 				}
 				h.admit(topNRow{keys: keys, row: row, seq: seq})
+				seq++
 			}
 		}
 	}
 
-	shards := c.shardCount(n)
 	var cands []topNRow
-	if shards <= 1 {
+	if shards := c.shardCount(ss.n); shards <= 1 {
 		var err error
-		cands, err = collect(c, 0, n)
-		if err != nil {
+		if cands, err = collect(c, 0, ss.n); err != nil {
 			return nil, err
 		}
 	} else {
-		parts, err := shardedCollectBounds(c, shardStreamBounds(n, shards, c.batch), collect)
+		parts, err := shardedCollectBounds(c, shardStreamBounds(ss.n, shards, c.batch), collect)
 		if err != nil {
 			return nil, err
 		}
@@ -1015,30 +922,12 @@ func (c *execCtx) streamTopN(q *ast.Query, src *rowSource, layout *relation, out
 	}
 	rows := make([][]value.Value, len(cands))
 	for i := range cands {
-		en := &env{rel: layout, row: cands[i].row, outer: outer, aliases: aliases, ctx: c}
+		en := &env{rel: ss.layout, row: cands[i].row, aliases: aliases, ctx: c}
 		vals, err := projectRow(en, q)
 		if err != nil {
 			return nil, err
 		}
 		rows[i] = vals
 	}
-	return &relation{cols: projectionCols(q), rows: rows}, nil
-}
-
-// accumulateStream pulls the scan→filter pipeline over [lo,hi) and folds
-// each batch into gs.
-func (c *execCtx) accumulateStream(q *ast.Query, specs []aggSpec, gs *groupSet, layout *relation, outer *env, lo, hi int, src *rowSource) error {
-	it := c.streamPipeline(q, src, layout, nil, outer, lo, hi, false)
-	for {
-		b, err := it.next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		if err := c.accumulateRows(q, specs, gs, layout, b, outer); err != nil {
-			return err
-		}
-	}
+	return rows, nil
 }

@@ -14,35 +14,34 @@ import (
 // pipeline-eligible queries the first batch crosses the trust boundary
 // while the scan is still running.
 //
-// Delivery modes, chosen per query shape (all subquery-free, over base
-// tables, with a nil outer scope — the eligibility gate):
+// pipelinedStream is the pull sink over the stream source of stream.go
+// (the collect sink behind Execute is the other). Its delivery modes:
 //
-//   - Pipelined rows: a non-grouped query with no ORDER BY (the common
-//     RemoteSQL fetch shape) runs the iterator chain of stream.go, one
-//     batch per Next call, with LIMIT counting the stream down and closing
-//     the scan early. A single-table query streams scan → filter →
-//     project; a multi-table query streams the probe side of its joins
-//     against build sides materialized before the first batch; DISTINCT
-//     streams through a seen-set that emits first occurrences. When the
+//   - Pipelined rows: a non-grouped query with no ORDER BY pulls the
+//     source's projecting chain, one batch per Next call, with LIMIT
+//     counting the stream down and closing the scan early and DISTINCT
+//     emitting first occurrences through a seen-set. A join's build sides
+//     materialize when the source opens, before the first batch. When the
 //     input is large enough, production shards: Parallelism workers each
 //     run their own chain over a batch-aligned row range and a merger
 //     emits the per-shard queues strictly in shard order (stream_shard.go)
 //     — same rows, same order, one consumer, many producers.
-//   - Grouped emission: a grouped query with no ORDER BY accumulates to
-//     completion first (sharded, AggState.Merge in shard order), then
-//     finalizes and emits completed groups in output batches (agg.go's
-//     groupEmitter), fanning each batch's crypto-heavy Result work across
-//     workers — so time-to-first-batch is accumulation + one batch of
-//     finalization, not + all of it, and a LIMIT skips the unconsumed
-//     groups' Paillier work entirely.
-//   - Streamed top-N: ORDER BY … LIMIT runs the (sharded) bounded-heap
-//     collection of stream.go on the first pull and emits the k winners in
+//   - Grouped emission: a grouped query with no ORDER BY opens its source
+//     and accumulates to completion on the first pull (sharded,
+//     AggState.Merge in shard order), then finalizes and emits completed
+//     groups in output batches (agg.go's groupEmitter), fanning each
+//     batch's crypto-heavy Result work across workers — so
+//     time-to-first-batch is accumulation + one batch of finalization, not
+//     + all of it, and a LIMIT skips the unconsumed groups' Paillier work.
+//   - Streamed top-N: ORDER BY … LIMIT over one table runs the (sharded)
+//     bounded-heap collection on the first pull and emits the k winners in
 //     batches; the full sort input never materializes, though the first
 //     batch still requires the whole scan (a sort cannot emit early).
-//   - Fallback: every other shape (full ORDER BY sorts, subqueries,
-//     derived tables) executes through Execute — including its sharded and
-//     batch-streamed internal paths — and the finished rows are emitted in
-//     batch-size chunks, released as they are consumed.
+//   - Fallback: every other shape (other ORDER BY sorts, subqueries,
+//     derived tables), and a join whose plan or build fails, executes
+//     through Execute — including its sharded and collect-sink paths — and
+//     the finished rows are emitted in batch-size chunks, released as they
+//     are consumed.
 //
 // A ResultStream has exactly one consumer; its Close cancels any producer
 // workers, waits for them to exit, and folds the stats of the work they
@@ -66,12 +65,9 @@ type ResultStream struct {
 // pipelined mode additionally requires BatchSize > 0 — with BatchSize 0
 // every query takes the materialized fallback, chunked for delivery.
 func (e *Engine) ExecuteStream(q *ast.Query, params map[string]value.Value) (*ResultStream, error) {
-	ctx := &execCtx{
-		eng: e, params: params, stats: &Stats{},
-		subq:   make(map[*ast.Query]*subqPlan),
-		par:    e.effectiveParallelism(),
-		batch:  e.BatchSize,
-		useIdx: e.UseIndexes,
+	ctx := e.newExecCtx(params)
+	if err := ctx.checkNames(q); err != nil {
+		return nil, err
 	}
 	if s, ok := ctx.pipelinedStream(q); ok {
 		return s, nil
@@ -97,38 +93,32 @@ func (e *Engine) ExecuteStream(q *ast.Query, params map[string]value.Value) (*Re
 	return &ResultStream{cols: res.Cols, ctx: ctx, next: si.next, close: si.close}, nil
 }
 
-// pipelinedStream dispatches q to its incremental delivery mode (see the
-// package comment above): pipelined rows, grouped emission, or streamed
-// top-N. ok=false means the caller must take the materialized fallback.
+// pipelinedStream is the pull sink: it dispatches q to its incremental
+// delivery mode over q's stream source (see the package comment above).
+// ok=false means the caller must take the materialized fallback — also
+// when opening the source fails to plan or build a join, so the error
+// surfaces identically from the materialized executor.
 func (c *execCtx) pipelinedStream(q *ast.Query) (*ResultStream, bool) {
-	if c.batch <= 0 || len(q.From) == 0 || streamBlocked(q) {
+	if !c.streamable(q, nil) {
 		return nil, false
 	}
-	for i := range q.From {
-		if q.From[i].Sub != nil {
-			return nil, false
-		}
-	}
-	for i := range q.From {
-		if _, err := c.eng.Cat.Table(q.From[i].Name); err != nil {
-			// Let the fallback path report the unknown table consistently.
-			return nil, false
-		}
-	}
 	grouped := c.isGrouped(q)
-	if len(q.OrderBy) > 0 {
-		// Full sorts fall back; ORDER BY … LIMIT over one table streams as
-		// top-N (the grouped and DISTINCT variants still need the
-		// materialized sort over their finished output).
-		if grouped || q.Distinct || q.Limit < 0 || len(q.From) != 1 {
-			return nil, false
-		}
-		return c.topNStream(q), true
+	if len(q.OrderBy) > 0 && (grouped || !streamsTopN(q)) {
+		// Full sorts fall back: the grouped and DISTINCT variants, and
+		// joins, need the materialized sort over their finished output.
+		return nil, false
 	}
 	if grouped {
 		return c.groupedStream(q), true
 	}
-	return c.rowStream(q)
+	ss, _, err := c.openStream(q, nil)
+	if err != nil {
+		return nil, false
+	}
+	if len(q.OrderBy) > 0 {
+		return c.topNStream(q, ss), true
+	}
+	return c.rowStream(q, ss), true
 }
 
 // newLimitedStream wraps a pipeline iterator in the public ResultStream,
@@ -164,55 +154,42 @@ func (c *execCtx) newLimitedStream(q *ast.Query, it batchIterator) *ResultStream
 	return s
 }
 
-// rowStream builds the non-grouped pipelined producer: scan → filter →
-// [probe… → residual →] project [→ distinct], sharded across Parallelism
-// workers through the shard-order merger when the input is large enough.
-// For a multi-table q the build sides materialize here, before the first
-// Next: their scan charges are part of time-to-first-batch, exactly as a
-// real hash join cannot probe before its builds finish. A planning or
-// build error falls back and surfaces identically from the materialized
-// executor.
-func (c *execCtx) rowStream(q *ast.Query) (*ResultStream, bool) {
-	var n int
-	var mkChain func(sc *execCtx, lo, hi int) batchIterator
-	if len(q.From) == 1 {
-		t, _ := c.eng.Cat.Table(q.From[0].Name)
-		layout := tableLayout(t, q.From[0].RefName())
-		aliases := aliasMap(q)
-		src := c.indexSource(q, t, q.From[0].RefName())
-		n = src.n()
-		mkChain = func(sc *execCtx, lo, hi int) batchIterator {
-			return sc.streamPipeline(q, src, layout, aliases, nil, lo, hi, true)
-		}
-	} else {
-		jp, err := c.prepareJoinStream(q, nil)
-		if err != nil {
-			return nil, false
-		}
-		n = jp.t0.NumRows()
-		mkChain = func(sc *execCtx, lo, hi int) batchIterator {
-			return jp.chain(sc, nil, lo, hi, true)
-		}
-	}
+// rowStream builds the non-grouped pipelined producer over the source's
+// projecting chain [→ distinct], sharded across Parallelism workers
+// through the shard-order merger when the input is large enough. A join's
+// build sides materialized when the source opened, before the first Next:
+// their scan charges are part of time-to-first-batch, exactly as a real
+// hash join cannot probe before its builds finish.
+func (c *execCtx) rowStream(q *ast.Query, ss *streamSource) *ResultStream {
+	mkChain := func(sc *execCtx, lo, hi int) batchIterator { return ss.chain(sc, lo, hi, true) }
 	var it batchIterator
-	if shards := c.shardCount(n); shards > 1 {
-		it = newShardedStream(c, mkChain, shardStreamBounds(n, shards, c.batch), q.Limit, q.Distinct)
+	if shards := c.shardCount(ss.n); shards > 1 {
+		it = newShardedStream(c, mkChain, shardStreamBounds(ss.n, shards, c.batch), q.Limit, q.Distinct)
 	} else {
-		it = mkChain(c, 0, n)
+		it = mkChain(c, 0, ss.n)
 		if q.Distinct {
 			it = &distinctIterator{in: it}
 		}
 	}
-	return c.newLimitedStream(q, it), true
+	return c.newLimitedStream(q, it)
 }
 
-// groupedStream builds the grouped-emission producer: the (sharded)
-// accumulation runs on the first pull, then the completed groups finalize
-// and emit in batches. DISTINCT over grouped output dedups the emitted
-// batches in-stream.
+// groupedStream builds the grouped-emission producer: on the first pull
+// the source opens and the (sharded) accumulation runs, then the completed
+// groups finalize and emit in batches. DISTINCT over grouped output dedups
+// the emitted batches in-stream.
 func (c *execCtx) groupedStream(q *ast.Query) *ResultStream {
 	var it batchIterator = &lazyIterator{mk: func() (batchIterator, error) {
-		return c.accumulateGroupedStream(q)
+		ss, _, err := c.openStream(q, nil)
+		if err != nil {
+			return nil, err
+		}
+		specs := c.collectAggSpecs(q)
+		groups, err := c.streamGroups(q, specs, ss)
+		if err != nil {
+			return nil, err
+		}
+		return c.newGroupEmitter(q, specs, groups, ss.layout)
 	}}
 	if q.Distinct {
 		it = &distinctIterator{in: it}
@@ -220,55 +197,16 @@ func (c *execCtx) groupedStream(q *ast.Query) *ResultStream {
 	return c.newLimitedStream(q, it)
 }
 
-// accumulateGroupedStream runs grouped accumulation for q — the sharded
-// scan→filter[→probe…] stream folding into per-shard groupSets merged in
-// shard order — and returns the batch emitter over the finished groups.
-func (c *execCtx) accumulateGroupedStream(q *ast.Query) (batchIterator, error) {
-	specs := c.collectAggSpecs(q)
-	var groups *groupSet
-	var layout *relation
-	var err error
-	if len(q.From) == 1 {
-		t, _ := c.eng.Cat.Table(q.From[0].Name)
-		layout = tableLayout(t, q.From[0].RefName())
-		src := c.indexSource(q, t, q.From[0].RefName())
-		groups, err = c.streamGroups(specs, src.n(), func(sc *execCtx, gs *groupSet, lo, hi int) error {
-			return sc.accumulateStream(q, specs, gs, layout, nil, lo, hi, src)
-		})
-	} else {
-		var jp *joinStreamPlan
-		jp, err = c.prepareJoinStream(q, nil)
-		if err != nil {
-			return nil, err
-		}
-		layout = jp.joined
-		groups, err = c.streamGroups(specs, jp.t0.NumRows(), func(sc *execCtx, gs *groupSet, lo, hi int) error {
-			return sc.accumulateJoinStream(q, specs, gs, jp, nil, lo, hi)
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return c.newGroupEmitter(q, specs, groups, layout, nil)
-}
-
 // topNStream builds the ORDER BY … LIMIT producer: the sharded bounded-
 // heap collection of streamTopN runs on the first pull and the k winners
 // emit in batches.
-func (c *execCtx) topNStream(q *ast.Query) *ResultStream {
-	t, _ := c.eng.Cat.Table(q.From[0].Name)
-	layout := tableLayout(t, q.From[0].RefName())
-	src := c.indexSource(q, t, q.From[0].RefName())
-	size := c.batch
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
+func (c *execCtx) topNStream(q *ast.Query, ss *streamSource) *ResultStream {
 	it := &lazyIterator{mk: func() (batchIterator, error) {
-		rel, err := c.streamTopN(q, src, layout, nil)
+		rows, err := c.streamTopN(q, ss)
 		if err != nil {
 			return nil, err
 		}
-		return &sliceIterator{rows: rel.rows, size: size}, nil
+		return &sliceIterator{rows: rows, size: c.batch}, nil
 	}}
 	return c.newLimitedStream(q, it)
 }

@@ -64,9 +64,6 @@ type shardMsg struct {
 // scan batches land on the same grid a sequential scan uses (the final
 // shard keeps the short tail batch).
 func shardStreamBounds(n, shards, size int) [][2]int {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
 	nb := (n + size - 1) / size // scan batches on the sequential grid
 	if shards > nb {
 		shards = nb

@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/value"
 )
@@ -80,9 +81,10 @@ type Index struct {
 	post map[string][]int32
 
 	// OrderedIndex state.
-	run   []ordEntry
-	dirty bool    // run has unsorted suffix
-	nulls []int32 // rows with NULL key, ascending
+	run    []ordEntry
+	dirty  bool       // run has unsorted suffix
+	sortMu sync.Mutex // serializes the lazy sort across concurrent queries
+	nulls  []int32    // rows with NULL key, ascending
 }
 
 func newIndex(col string, kind IndexKind) *Index {
@@ -165,8 +167,12 @@ func (ix *Index) PostingsKey(hashKey string) []int32 {
 
 // ensureSorted sorts the run by (key, row id). The sort is lazy so bulk
 // loads stay O(n) per insert; the first lookup after a batch of inserts
-// pays one O(n log n) sort.
+// pays one O(n log n) sort. Concurrent queries may make that first
+// lookup together, so the sort runs under sortMu, whose release orders it
+// before every later reader of the run.
 func (ix *Index) ensureSorted() {
+	ix.sortMu.Lock()
+	defer ix.sortMu.Unlock()
 	if !ix.dirty {
 		return
 	}

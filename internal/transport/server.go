@@ -488,7 +488,9 @@ func (s *session) handshake() error {
 }
 
 // runQuery executes one job end to end: admission, parse, stream, close
-// frame. It always unregisters the job's cancel handle.
+// frame. It always unregisters the job's cancel handle. The in-flight slot
+// is released before the terminal frame is written, so a client that
+// resubmits the moment it reads done or error finds the slot free.
 func (s *session) runQuery(job *queryJob) {
 	defer func() {
 		s.pmu.Lock()
@@ -504,21 +506,26 @@ func (s *session) runQuery(job *queryJob) {
 	}
 
 	// Admission: the global in-flight slot, waited for at most QueryWait.
-	if s.srv.inflight != nil {
-		if !s.acquireSlot(job) {
-			return
-		}
-		defer func() { <-s.srv.inflight }()
+	if s.srv.inflight != nil && !s.acquireSlot(job) {
+		return
 	}
+	tag, payload := s.execute(job)
+	if s.srv.inflight != nil {
+		<-s.srv.inflight
+	}
+	s.writeFrame(tag, payload)
+}
 
+// execute parses and streams an admitted job, returning its terminal
+// frame (done or error) for runQuery to write once the slot is free.
+func (s *session) execute(job *queryJob) (byte, []byte) {
 	q := job.q
 	if q == nil {
 		var err error
 		q, err = sqlparser.Parse(job.sql)
 		if err != nil {
 			s.countError()
-			s.writeFrame(frameError, errorPayload(job.qid, CodeQueryError, err.Error()))
-			return
+			return frameError, errorPayload(job.qid, CodeQueryError, err.Error())
 		}
 	}
 
@@ -539,8 +546,7 @@ func (s *session) runQuery(job *queryJob) {
 		} else {
 			s.countError()
 		}
-		s.writeFrame(frameError, errorPayload(job.qid, code, err.Error()))
-		return
+		return frameError, errorPayload(job.qid, code, err.Error())
 	}
 	s.smu.Lock()
 	s.stats.Queries++
@@ -548,7 +554,7 @@ func (s *session) runQuery(job *queryJob) {
 	s.stats.Batches += st.Batches
 	s.stats.WireBytes += st.WireBytes
 	s.smu.Unlock()
-	s.writeFrame(frameDone, donePayload(job.qid, st))
+	return frameDone, donePayload(job.qid, st)
 }
 
 // acquireSlot waits for an in-flight slot, honouring QueryWait (0 = fail
